@@ -3,7 +3,7 @@
 
 use crate::arena::PacketSpan;
 use crate::ingest::IngestReport;
-use crate::pcap::{Packet, PcapReader, MAGIC_USEC, MAGIC_USEC_SWAPPED};
+use crate::pcap::{Packet, PcapReader, RecordFormat};
 use crate::{pcapng, Error, Result};
 
 /// The capture format of a byte stream.
@@ -20,13 +20,7 @@ pub fn detect(bytes: &[u8]) -> Option<CaptureFormat> {
     if pcapng::is_pcapng(bytes) {
         return Some(CaptureFormat::PcapNg);
     }
-    if bytes.len() >= 4 {
-        let magic = u32::from_le_bytes([bytes[0], bytes[1], bytes[2], bytes[3]]);
-        if magic == MAGIC_USEC || magic == MAGIC_USEC_SWAPPED {
-            return Some(CaptureFormat::Pcap);
-        }
-    }
-    None
+    RecordFormat::from_magic(bytes).map(|_| CaptureFormat::Pcap)
 }
 
 /// Reads every packet from a capture in either format.

@@ -1,11 +1,13 @@
 //! Reading and writing the classic libpcap capture format.
 //!
 //! Only the classic (non-ng) format is implemented: a 24-byte global header
-//! followed by `(16-byte record header, packet bytes)` pairs. Both the
-//! little-endian and big-endian magic variants are accepted on read; files
-//! are always written little-endian with microsecond timestamps.
+//! followed by `(16-byte record header, packet bytes)` pairs. Little-endian
+//! and big-endian microsecond captures and little-endian nanosecond
+//! captures are accepted on read; files are always written little-endian
+//! with microsecond timestamps.
 
 use std::io::{Read, Write};
+use std::ops::Range;
 
 use crate::arena::PacketSpan;
 use crate::ingest::IngestReport;
@@ -15,10 +17,53 @@ use crate::{Error, Result};
 pub const MAGIC_USEC: u32 = 0xa1b2_c3d4;
 /// Byte-swapped magic (capture written on an opposite-endian machine).
 pub const MAGIC_USEC_SWAPPED: u32 = 0xd4c3_b2a1;
+/// Little-endian magic number for nanosecond-resolution captures
+/// (`tcpdump --time-stamp-precision=nano`).
+pub const MAGIC_NSEC: u32 = 0xa1b2_3c4d;
+/// Length of the global header that precedes the first record.
+pub const GLOBAL_HEADER_LEN: usize = 24;
 /// Link type for Ethernet frames (DLT_EN10MB).
 pub const LINKTYPE_ETHERNET: u32 = 1;
 /// Upper bound on `caplen` that we accept; larger values indicate corruption.
 pub const MAX_CAPTURE_LEN: u32 = 1 << 24;
+
+/// Byte order and timestamp resolution of a classic capture's records,
+/// as declared by its magic number.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct RecordFormat {
+    swapped: bool,
+    /// Sub-second field scale, applied by multiplication.
+    frac_scale: f64,
+}
+
+impl RecordFormat {
+    /// Recognises a classic pcap magic at the start of `bytes`.
+    pub fn from_magic(bytes: &[u8]) -> Option<RecordFormat> {
+        let magic = u32::from_le_bytes(bytes.get(..4)?.try_into().ok()?);
+        let (swapped, frac_scale) = match magic {
+            MAGIC_USEC => (false, 1e-6),
+            MAGIC_USEC_SWAPPED => (true, 1e-6),
+            MAGIC_NSEC => (false, 1e-9),
+            _ => return None,
+        };
+        Some(RecordFormat { swapped, frac_scale })
+    }
+
+    fn timestamp(&self, record: &[u8]) -> f64 {
+        read_u32(&record[0..4], self.swapped) as f64
+            + read_u32(&record[4..8], self.swapped) as f64 * self.frac_scale
+    }
+}
+
+/// Where a [`walk_records`] call stopped.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct Walk {
+    /// Offset of the first record not consumed.
+    pub pos: usize,
+    /// A corrupt record header ended framing: every later byte of the
+    /// capture is unframed and counts as skipped.
+    pub unframed: bool,
+}
 
 /// A single captured packet: a timestamp plus the captured bytes.
 #[derive(Debug, Clone, PartialEq)]
@@ -40,7 +85,7 @@ impl Packet {
 #[derive(Debug)]
 pub struct PcapReader<R> {
     inner: R,
-    swapped: bool,
+    format: RecordFormat,
     linktype: u32,
 }
 
@@ -52,16 +97,12 @@ impl<R: Read> PcapReader<R> {
     /// Returns [`Error::BadPcapMagic`] when the magic number is not a classic
     /// pcap magic, or [`Error::Io`] when the header cannot be read.
     pub fn new(mut inner: R) -> Result<Self> {
-        let mut hdr = [0u8; 24];
+        let mut hdr = [0u8; GLOBAL_HEADER_LEN];
         inner.read_exact(&mut hdr)?;
-        let magic = u32::from_le_bytes([hdr[0], hdr[1], hdr[2], hdr[3]]);
-        let swapped = match magic {
-            MAGIC_USEC => false,
-            MAGIC_USEC_SWAPPED => true,
-            other => return Err(Error::BadPcapMagic(other)),
-        };
-        let linktype = read_u32(&hdr[20..24], swapped);
-        Ok(PcapReader { inner, swapped, linktype })
+        let format = RecordFormat::from_magic(&hdr)
+            .ok_or_else(|| Error::BadPcapMagic(read_u32(&hdr[..4], false)))?;
+        let linktype = read_u32(&hdr[20..24], format.swapped);
+        Ok(PcapReader { inner, format, linktype })
     }
 
     /// The link type declared in the global header (1 = Ethernet).
@@ -82,16 +123,13 @@ impl<R: Read> PcapReader<R> {
             0 => return Ok(None),
             _ => self.inner.read_exact(&mut rec[1..])?,
         }
-        let ts_sec = read_u32(&rec[0..4], self.swapped);
-        let ts_usec = read_u32(&rec[4..8], self.swapped);
-        let caplen = read_u32(&rec[8..12], self.swapped);
+        let caplen = read_u32(&rec[8..12], self.format.swapped);
         if caplen > MAX_CAPTURE_LEN {
             return Err(Error::BadCaptureLength(caplen));
         }
         let mut data = vec![0u8; caplen as usize];
         self.inner.read_exact(&mut data)?;
-        let ts = ts_sec as f64 + ts_usec as f64 * 1e-6;
-        Ok(Some(Packet { ts, data }))
+        Ok(Some(Packet { ts: self.format.timestamp(&rec), data }))
     }
 
     /// Drains the remaining packets into a vector.
@@ -121,64 +159,74 @@ impl<R: Read> PcapReader<R> {
     }
 }
 
-/// Lenient record walk shared by the copying and span readers: one
-/// callback per decodable packet with the record's timestamp and the
-/// frame's byte range in `bytes`. Accounting is identical on both paths
-/// by construction — this is the single implementation of it.
-///
-/// Classic pcap has no per-record magic, so decoding cannot resynchronise
-/// after a corrupt record: the first unreadable record ends the walk and
-/// the remaining bytes are counted as skipped in `report`. Truncated
-/// final records (live-rotated captures) are the common benign case and
-/// set [`IngestReport::capture_truncated`].
+/// Lenient record walk over a whole capture: the global header, then
+/// [`walk_records`] to the end of `bytes`. Bytes that are not a classic
+/// capture count as skipped; a header cut short marks the capture
+/// truncated.
 fn walk_records_lenient(
     bytes: &[u8],
     report: &mut IngestReport,
-    mut emit: impl FnMut(f64, std::ops::Range<usize>),
+    emit: impl FnMut(f64, Range<usize>),
 ) {
-    if bytes.len() < 24 {
+    if bytes.len() < GLOBAL_HEADER_LEN {
         report.bytes_skipped += bytes.len() as u64;
         report.capture_truncated = true;
         return;
     }
-    let magic = u32::from_le_bytes([bytes[0], bytes[1], bytes[2], bytes[3]]);
-    let swapped = match magic {
-        MAGIC_USEC => false,
-        MAGIC_USEC_SWAPPED => true,
-        _ => {
-            report.bytes_skipped += bytes.len() as u64;
-            return;
+    match RecordFormat::from_magic(bytes) {
+        Some(format) => {
+            walk_records(bytes, GLOBAL_HEADER_LEN, format, true, usize::MAX, report, emit);
         }
-    };
-    let mut pos = 24usize;
-    while pos < bytes.len() {
-        if pos + 16 > bytes.len() {
-            report.records_dropped += 1;
-            report.bytes_skipped += (bytes.len() - pos) as u64;
-            report.capture_truncated = true;
-            break;
-        }
-        let ts_sec = read_u32(&bytes[pos..pos + 4], swapped);
-        let ts_usec = read_u32(&bytes[pos + 4..pos + 8], swapped);
-        let caplen = read_u32(&bytes[pos + 8..pos + 12], swapped);
-        if caplen > MAX_CAPTURE_LEN {
-            // Corrupt length field: everything after it is unframed.
-            report.records_dropped += 1;
-            report.bytes_skipped += (bytes.len() - pos) as u64;
-            break;
-        }
-        let end = pos + 16 + caplen as usize;
-        if end > bytes.len() {
-            report.records_dropped += 1;
-            report.bytes_skipped += (bytes.len() - pos) as u64;
-            report.capture_truncated = true;
-            break;
-        }
-        let ts = ts_sec as f64 + ts_usec as f64 * 1e-6;
-        emit(ts, pos + 16..end);
-        report.packets_read += 1;
-        pos = end;
+        None => report.bytes_skipped += bytes.len() as u64,
     }
+}
+
+/// The one classic-pcap record walk, shared by offline reading and the
+/// live file tail: one `emit` per record, with its timestamp and the
+/// frame's byte range in `bytes`, for at most `max_records` records
+/// starting at `pos`.
+///
+/// `at_end` says whether `bytes` ends the capture. When it does, a
+/// record cut short is dropped and marks the capture truncated; when it
+/// does not (a tail waiting for its writer), the walk stops before it
+/// and the returned position points at it. Classic pcap has no
+/// per-record magic, so decoding cannot resynchronise after a corrupt
+/// length field: the walk stops there, counts the rest of `bytes` as
+/// skipped, and reports the capture [`Walk::unframed`].
+pub fn walk_records(
+    bytes: &[u8],
+    mut pos: usize,
+    format: RecordFormat,
+    at_end: bool,
+    max_records: usize,
+    report: &mut IngestReport,
+    mut emit: impl FnMut(f64, Range<usize>),
+) -> Walk {
+    let mut records = 0;
+    while pos < bytes.len() && records < max_records {
+        let rest = &bytes[pos..];
+        let caplen = (rest.len() >= 16).then(|| read_u32(&rest[8..12], format.swapped));
+        if caplen.is_some_and(|c| c > MAX_CAPTURE_LEN) {
+            report.records_dropped += 1;
+            report.bytes_skipped += rest.len() as u64;
+            return Walk { pos: bytes.len(), unframed: true };
+        }
+        let end = caplen.map(|c| 16 + c as usize).filter(|&end| rest.len() >= end);
+        let Some(end) = end else {
+            if at_end {
+                report.records_dropped += 1;
+                report.bytes_skipped += rest.len() as u64;
+                report.capture_truncated = true;
+                pos = bytes.len();
+            }
+            break;
+        };
+        emit(format.timestamp(rest), pos + 16..pos + end);
+        report.packets_read += 1;
+        pos += end;
+        records += 1;
+    }
+    Walk { pos, unframed: false }
 }
 
 /// Reads every decodable packet from classic pcap bytes, never failing.

@@ -13,19 +13,17 @@ use std::collections::BTreeMap;
 use serde::{Deserialize, Serialize};
 
 use crate::arena::{subslice_range, PacketSpan};
-use crate::ether::{EtherFrame, ETHERTYPE_IPV4};
 use crate::http::{
-    parse_request_head, parse_response_head, request_body_framing, response_body_framing,
-    BodyFraming, HeaderMap, Method,
+    decode_chunked, parse_request_head, parse_response_head, request_body_framing,
+    response_body_framing, BodyFraming, HeaderMap, Method, RequestHead, ResponseHead,
 };
 use crate::ingest::IngestReport;
-use crate::ipv4::{Ipv4Packet, PROTO_TCP};
 use crate::payload::{classify, PayloadClass};
 use crate::pcap::Packet;
 use crate::reassembly::{
-    Endpoint, FlowKey, SpanReassembler, Stream, StreamBuf, StreamReassembler, StreamView,
+    decode_frame, Endpoint, FlowKey, SpanReassembler, Stream, StreamBuf, StreamReassembler,
+    StreamView,
 };
-use crate::tcp::TcpSegment;
 use crate::{Error, Result};
 
 /// Number of leading body bytes retained for inspection (redirect
@@ -254,7 +252,7 @@ impl<'a> Body<'a> {
         }
     }
 
-    fn into_owned(self) -> Vec<u8> {
+    pub(crate) fn into_owned(self) -> Vec<u8> {
         match self {
             Body::Borrowed(b) => b.to_vec(),
             Body::Owned(v) => v,
@@ -266,10 +264,8 @@ impl<'a> Body<'a> {
 #[derive(Debug, Default)]
 pub struct TransactionExtractor {
     reassembler: StreamReassembler,
-    /// Packets that failed Ethernet/IPv4/TCP decoding.
-    dropped_decode: u64,
-    /// Well-formed packets that are not IPv4/TCP.
-    non_tcp: u64,
+    /// Frames the decode step dropped or found not to be TCP/IPv4.
+    decode: IngestReport,
 }
 
 impl TransactionExtractor {
@@ -283,31 +279,9 @@ impl TransactionExtractor {
     /// [`TransactionExtractor::finish_lenient`]), matching capture-tool
     /// behaviour on mixed traffic.
     pub fn push_packet(&mut self, packet: &Packet) {
-        let Ok(eth) = EtherFrame::parse(&packet.data) else {
-            self.dropped_decode += 1;
-            return;
-        };
-        if eth.ethertype != ETHERTYPE_IPV4 {
-            self.non_tcp += 1;
-            return;
+        if let Some((key, tcp)) = decode_frame(&packet.data, &mut self.decode) {
+            self.reassembler.push(packet.ts, key, &tcp);
         }
-        let Ok(ip) = Ipv4Packet::parse(eth.payload) else {
-            self.dropped_decode += 1;
-            return;
-        };
-        if ip.protocol != PROTO_TCP {
-            self.non_tcp += 1;
-            return;
-        }
-        let Ok(tcp) = TcpSegment::parse(ip.payload) else {
-            self.dropped_decode += 1;
-            return;
-        };
-        let key = FlowKey::new(
-            Endpoint::new(ip.src, tcp.src_port),
-            Endpoint::new(ip.dst, tcp.dst_port),
-        );
-        self.reassembler.push(packet.ts, key, &tcp);
     }
 
     /// Finishes extraction: reassembles all flows, pairs requests with
@@ -366,8 +340,7 @@ impl TransactionExtractor {
     /// silently dropping them, and records gzip/chunked decode failures
     /// — all in `report`.
     pub fn finish_lenient(self, report: &mut IngestReport) -> Vec<HttpTransaction> {
-        report.packets_dropped_decode += self.dropped_decode;
-        report.packets_non_tcp += self.non_tcp;
+        report.merge(&self.decode);
         let streams = self.reassembler.into_streams_counting(&mut report.reassembly_gaps);
         report.streams_total += streams.len() as u64;
         let mut connections: BTreeMap<(Endpoint, Endpoint), (Option<Stream>, Option<Stream>)> =
@@ -454,39 +427,12 @@ impl SpanPipeline {
     ) -> Vec<HttpTransaction> {
         self.spans.clear();
         crate::capture::read_packet_spans_lenient(capture, report, &mut self.spans);
-        let mut dropped_decode = 0u64;
-        let mut non_tcp = 0u64;
         for span in &self.spans {
-            let data = &capture[span.range.clone()];
-            let Ok(eth) = EtherFrame::parse(data) else {
-                dropped_decode += 1;
-                continue;
-            };
-            if eth.ethertype != ETHERTYPE_IPV4 {
-                non_tcp += 1;
-                continue;
+            if let Some((key, tcp)) = decode_frame(&capture[span.range.clone()], report) {
+                let payload = subslice_range(capture, tcp.payload);
+                self.reassembler.push_span(span.ts, key, &tcp, payload);
             }
-            let Ok(ip) = Ipv4Packet::parse(eth.payload) else {
-                dropped_decode += 1;
-                continue;
-            };
-            if ip.protocol != PROTO_TCP {
-                non_tcp += 1;
-                continue;
-            }
-            let Ok(tcp) = TcpSegment::parse(ip.payload) else {
-                dropped_decode += 1;
-                continue;
-            };
-            let key = FlowKey::new(
-                Endpoint::new(ip.src, tcp.src_port),
-                Endpoint::new(ip.dst, tcp.dst_port),
-            );
-            let payload = subslice_range(capture, tcp.payload);
-            self.reassembler.push_span(span.ts, key, &tcp, payload);
         }
-        report.packets_dropped_decode += dropped_decode;
-        report.packets_non_tcp += non_tcp;
         self.reassembler.gather_streams(capture, &mut report.reassembly_gaps, &mut self.streams);
         report.streams_total += self.streams.len() as u64;
         let mut connections: BTreeMap<(Endpoint, Endpoint), (Option<usize>, Option<usize>)> =
@@ -619,82 +565,116 @@ impl<T> Salvage<T> {
     }
 }
 
-fn parse_requests(stream: StreamView<'_>) -> Salvage<ParsedRequest> {
+/// One message framed off the front of a stream's unparsed bytes.
+pub(crate) enum Framed<M> {
+    /// A whole message and the number of bytes it spans.
+    Message(M, usize),
+    /// The head or body is still incomplete; only while the stream is open.
+    Incomplete,
+    /// The bytes cannot be framed; `chunked` marks a chunked-body failure.
+    Invalid { error: Error, chunked: bool },
+}
+
+/// The body after a message head. At the end of the stream a body the
+/// stream cut short is truncated to what arrived: `Content-Length` and
+/// until-close bodies take the rest, an unterminated chunked body keeps
+/// its raw bytes.
+fn frame_body(framing: BodyFraming, avail: &[u8], at_end: bool) -> Framed<Body<'_>> {
+    match framing {
+        BodyFraming::None => Framed::Message(Body::Borrowed(&[]), 0),
+        BodyFraming::Length(n) if n <= avail.len() => {
+            Framed::Message(Body::Borrowed(&avail[..n]), n)
+        }
+        BodyFraming::Chunked => match decode_chunked(avail) {
+            Ok(Some((body, consumed))) => Framed::Message(Body::Owned(body), consumed),
+            Ok(None) if at_end => Framed::Message(Body::Borrowed(avail), avail.len()),
+            Ok(None) => Framed::Incomplete,
+            Err(error) => Framed::Invalid { error, chunked: true },
+        },
+        _ if at_end => Framed::Message(Body::Borrowed(avail), avail.len()),
+        _ => Framed::Incomplete,
+    }
+}
+
+/// Frames the message at the front of `data`: its head, then the body
+/// `framing` assigns it. The one framing step of offline parsing and the
+/// live tap, with `at_end` set once the stream can grow no further.
+fn frame_message<H>(
+    data: &[u8],
+    head: Result<Option<(H, usize)>>,
+    framing: impl FnOnce(&H) -> BodyFraming,
+    at_end: bool,
+) -> Framed<(H, Body<'_>)> {
+    let (head, consumed) = match head {
+        Ok(Some(parsed)) => parsed,
+        Ok(None) => return Framed::Incomplete,
+        Err(error) => return Framed::Invalid { error, chunked: false },
+    };
+    match frame_body(framing(&head), &data[consumed..], at_end) {
+        Framed::Message(body, n) => Framed::Message((head, body), consumed + n),
+        Framed::Incomplete => Framed::Incomplete,
+        Framed::Invalid { error, chunked } => Framed::Invalid { error, chunked },
+    }
+}
+
+/// Frames the request at the front of `data` (see [`frame_message`]).
+pub(crate) fn frame_request(data: &[u8], at_end: bool) -> Framed<(RequestHead, Body<'_>)> {
+    frame_message(data, parse_request_head(data), request_body_framing, at_end)
+}
+
+/// Frames the response to a `method` request at the front of `data`.
+pub(crate) fn frame_response<'a>(
+    data: &'a [u8],
+    method: &Method,
+    at_end: bool,
+) -> Framed<(ResponseHead, Body<'a>)> {
+    frame_message(data, parse_response_head(data), |h| response_body_framing(h, method), at_end)
+}
+
+/// Frames every message of a finished stream, stopping at the first
+/// that cannot be framed; `on_message(message, start, end)` builds each.
+fn parse_stream<'a, M, T>(
+    data: &'a [u8],
+    mut frame: impl FnMut(&'a [u8], usize) -> Framed<M>,
+    mut on_message: impl FnMut(M, usize, usize) -> T,
+) -> Salvage<T> {
     let mut out = Salvage { items: Vec::new(), error: None, chunked_failure: false };
     let mut pos = 0usize;
-    while pos < stream.data.len() {
-        let head = match parse_request_head(&stream.data[pos..]) {
-            Ok(Some(parsed)) => parsed,
-            Ok(None) => break,
-            Err(e) => {
-                out.error = Some(e);
+    while pos < data.len() {
+        match frame(&data[pos..], out.items.len()) {
+            Framed::Message(m, n) => {
+                out.items.push(on_message(m, pos, pos + n));
+                pos += n;
+            }
+            Framed::Incomplete => break,
+            Framed::Invalid { error, chunked } => {
+                out.error = Some(error);
+                out.chunked_failure = chunked;
                 break;
             }
-        };
-        let (head, consumed) = head;
-        let ts = stream.timestamp_at(pos);
-        let body_len = match request_body_framing(&head) {
-            BodyFraming::None => 0,
-            BodyFraming::Length(n) => n.min(stream.data.len() - pos - consumed),
-            BodyFraming::Chunked => {
-                match crate::http::decode_chunked(&stream.data[pos + consumed..]) {
-                    Ok(Some((_, c))) => c,
-                    Ok(None) => stream.data.len() - pos - consumed,
-                    Err(e) => {
-                        out.error = Some(e);
-                        out.chunked_failure = true;
-                        break;
-                    }
-                }
-            }
-            BodyFraming::UntilClose => stream.data.len() - pos - consumed,
-        };
-        pos += consumed + body_len;
-        out.items.push(ParsedRequest { head, ts });
+        }
     }
     out
 }
 
+fn parse_requests(stream: StreamView<'_>) -> Salvage<ParsedRequest> {
+    parse_stream(
+        stream.data,
+        |data, _| frame_request(data, true),
+        |(head, _), start, _| ParsedRequest { head, ts: stream.timestamp_at(start) },
+    )
+}
+
 fn parse_responses<'a>(stream: StreamView<'a>, methods: &[Method]) -> Salvage<ParsedResponse<'a>> {
-    let mut out = Salvage { items: Vec::new(), error: None, chunked_failure: false };
-    let mut pos = 0usize;
-    let mut idx = 0usize;
-    while pos < stream.data.len() {
-        let head = match parse_response_head(&stream.data[pos..]) {
-            Ok(Some(parsed)) => parsed,
-            Ok(None) => break,
-            Err(e) => {
-                out.error = Some(e);
-                break;
-            }
-        };
-        let (head, consumed) = head;
-        let method = methods.get(idx).cloned().unwrap_or(Method::Get);
-        let avail = &stream.data[pos + consumed..];
-        let (body, body_consumed) = match response_body_framing(&head, &method) {
-            BodyFraming::None => (Body::Borrowed(&[]), 0),
-            BodyFraming::Length(n) => {
-                let take = n.min(avail.len());
-                (Body::Borrowed(&avail[..take]), take)
-            }
-            BodyFraming::Chunked => match crate::http::decode_chunked(avail) {
-                Ok(Some((body, c))) => (Body::Owned(body), c),
-                Ok(None) => (Body::Borrowed(avail), avail.len()),
-                Err(e) => {
-                    out.error = Some(e);
-                    out.chunked_failure = true;
-                    break;
-                }
-            },
-            BodyFraming::UntilClose => (Body::Borrowed(avail), avail.len()),
-        };
-        let end = pos + consumed + body_consumed;
-        let end_ts = stream.timestamp_at(end.saturating_sub(1));
-        pos = end;
-        idx += 1;
-        out.items.push(ParsedResponse { head, body, end_ts });
-    }
-    out
+    parse_stream(
+        stream.data,
+        |data, i| frame_response(data, methods.get(i).unwrap_or(&Method::Get), true),
+        |(head, body), _, end| ParsedResponse {
+            head,
+            body,
+            end_ts: stream.timestamp_at(end.saturating_sub(1)),
+        },
+    )
 }
 
 fn pair_connection(
@@ -1339,8 +1319,9 @@ mod tests {
     ) -> Vec<u8> {
         use crate::ether::MacAddr;
         let tcp = crate::tcp::build(sp, dp, seq, 0, crate::tcp::TcpFlags::data(), payload);
-        let ip = crate::ipv4::build(src, dst, PROTO_TCP, 1, &tcp);
-        crate::ether::build(MacAddr::default(), MacAddr::default(), ETHERTYPE_IPV4, &ip)
+        let ip = crate::ipv4::build(src, dst, crate::ipv4::PROTO_TCP, 1, &tcp);
+        let ipv4 = crate::ether::ETHERTYPE_IPV4;
+        crate::ether::build(MacAddr::default(), MacAddr::default(), ipv4, &ip)
     }
 
     /// Two conversations plus out-of-order, retransmitted, and

@@ -4,12 +4,17 @@
 //! what was lost, and with detection surviving on whatever conversations
 //! the damage left intact.
 
+use std::collections::{BTreeMap, BTreeSet};
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::OnceLock;
 
 use dynaminer::classifier::{build_dataset, Classifier};
 use proptest::prelude::*;
 use dynaminer::detector::DetectorConfig;
 use dynaminer::forensic;
+use nettrace::reassembly::{decode_frame, Endpoint};
+use nettrace::source::{PumpOutcome, TrafficSource};
+use nettrace::transaction::assign_seq;
 use nettrace::{HttpTransaction, IngestReport, TransactionExtractor};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -18,6 +23,7 @@ use synthtraffic::episode::generate_infection;
 use synthtraffic::faultgen::{self, Fault};
 use synthtraffic::pcapgen::episode_pcap;
 use synthtraffic::{BenignScenario, EkFamily};
+use wirefront::{CaptureConfig, CaptureSource};
 
 fn classifier() -> &'static Classifier {
     static CLF: OnceLock<Classifier> = OnceLock::new();
@@ -331,6 +337,7 @@ fn zero_copy_path_matches_copying_path_for_every_fault_class() {
             let mut rng = StdRng::seed_from_u64(7000 + i as u64 * 10 + seed);
             let hurt = faultgen::apply(&pcap, fault, &mut rng);
             let (txs, ingest) = assert_pipelines_identical(&hurt);
+            assert_capture_matches(&pcap, &hurt, fault, (&txs, &ingest));
             if seed != 0 {
                 continue;
             }
@@ -355,6 +362,112 @@ fn zero_copy_path_matches_copying_path_for_every_fault_class() {
     }
 }
 
+/// Runs capture bytes through the live capture source — a pcap tail
+/// without follow, pumped to exhaustion and shut down — and puts its
+/// transactions in extraction order.
+fn capture_extract(bytes: &[u8]) -> (Vec<HttpTransaction>, IngestReport) {
+    static FILES: AtomicU64 = AtomicU64::new(0);
+    let path = std::env::temp_dir().join(format!(
+        "fault_injection_capture_{}_{}.pcap",
+        std::process::id(),
+        FILES.fetch_add(1, Ordering::Relaxed)
+    ));
+    std::fs::write(&path, bytes).unwrap();
+    let mut src = CaptureSource::pcap_file(&path, false, CaptureConfig::default()).unwrap();
+    let mut txs = Vec::new();
+    let mut pumps = 0;
+    while src.pump(&mut txs).expect("pump") != PumpOutcome::Exhausted {
+        pumps += 1;
+        assert!(pumps < 100_000, "capture never exhausted");
+    }
+    src.shutdown(&mut txs);
+    std::fs::remove_file(&path).ok();
+    (in_extraction_order(txs), src.ingest_report())
+}
+
+/// Sorts by request time, ties broken by connection, then numbers the
+/// stream: the order both paths are compared in.
+fn in_extraction_order(mut txs: Vec<HttpTransaction>) -> Vec<HttpTransaction> {
+    txs.sort_by(|a, b| a.ts.total_cmp(&b.ts).then((a.client, a.server).cmp(&(b.client, b.server))));
+    assign_seq(&mut txs);
+    txs
+}
+
+type Connection = (Endpoint, Endpoint);
+
+/// Connections on which `hurt` forges TCP state: some packet whose
+/// decoded flow, sequence number or flags differ from its clean
+/// original. Both the clean and the forged connection count.
+fn forged_connections(clean: &[u8], hurt: &[u8]) -> BTreeSet<Connection> {
+    let mut scratch = IngestReport::new();
+    let clean = nettrace::capture::read_packets_lenient(clean, &mut scratch);
+    let hurt = nettrace::capture::read_packets_lenient(hurt, &mut scratch);
+    let mut forged = BTreeSet::new();
+    for (c, h) in clean.iter().zip(&hurt) {
+        let (Some((ck, cs)), Some((hk, hs))) =
+            (decode_frame(&c.data, &mut scratch), decode_frame(&h.data, &mut scratch))
+        else {
+            continue;
+        };
+        if (ck, cs.seq, cs.flags) != (hk, hs.seq, hs.flags) {
+            forged.insert(ck.connection_id());
+            forged.insert(hk.connection_id());
+        }
+    }
+    forged
+}
+
+fn by_connection(txs: &[HttpTransaction]) -> BTreeMap<Connection, Vec<HttpTransaction>> {
+    let mut map: BTreeMap<Connection, Vec<HttpTransaction>> = BTreeMap::new();
+    for tx in txs {
+        let mut tx = tx.clone();
+        tx.seq = 0;
+        let id = if tx.client <= tx.server { (tx.client, tx.server) } else { (tx.server, tx.client) };
+        map.entry(id).or_default().push(tx);
+    }
+    map
+}
+
+/// The wire ≡ replay contract on damaged bytes: the live capture source
+/// must recover what offline extraction recovers. Faults that only lose,
+/// repeat, reorder or rewrite whole packets give identical transactions
+/// and identical ingest reports. Faults that forge TCP sequence numbers
+/// or flags give identical transactions on every connection they left
+/// alone; what differs on the forged ones is printed (DESIGN.md §17
+/// explains why it may).
+fn assert_capture_matches(
+    clean: &[u8],
+    hurt: &[u8],
+    fault: Fault,
+    (offline, offline_report): (&[HttpTransaction], &IngestReport),
+) {
+    let (wire, wire_report) = capture_extract(hurt);
+    let offline = in_extraction_order(offline.to_vec());
+    if !matches!(fault, Fault::FlipBytes | Fault::CorruptTcpSeq | Fault::CorruptTcpFlags) {
+        assert_eq!(&wire_report, offline_report, "{fault}: ingest reports diverged");
+        assert_eq!(wire, offline, "{fault}: transactions diverged");
+        return;
+    }
+    let forged = forged_connections(clean, hurt);
+    let (wire, offline) = (by_connection(&wire), by_connection(&offline));
+    for id in wire.keys().chain(offline.keys()).collect::<BTreeSet<_>>() {
+        let (w, o) = (wire.get(id), offline.get(id));
+        if forged.contains(id) {
+            if w != o {
+                eprintln!(
+                    "{fault}: forged connection {} <-> {}: capture {} tx, offline {} tx",
+                    id.0,
+                    id.1,
+                    w.map_or(0, Vec::len),
+                    o.map_or(0, Vec::len)
+                );
+            }
+            continue;
+        }
+        assert_eq!(w, o, "{fault}: connection {} <-> {} diverged", id.0, id.1);
+    }
+}
+
 proptest! {
     /// Randomized sweep over (seed, fault class, family): the copying
     /// and zero-copy pipelines must agree on arbitrary hostile input,
@@ -368,13 +481,17 @@ proptest! {
         let pcap = infection_pcap(seed + 1, EkFamily::ALL[family_idx]);
         let mut rng = StdRng::seed_from_u64(seed ^ 0x5eed_f001);
         let hurt = faultgen::apply(&pcap, Fault::ALL[fault_idx], &mut rng);
+        let fault = Fault::ALL[fault_idx];
         let (txs, report) = assert_pipelines_identical(&hurt);
         prop_assert_eq!(txs.len() as u64, report.transactions_recovered);
+        assert_capture_matches(&pcap, &hurt, fault, (&txs, &report));
         // Truncation-style damage must also agree: cut the capture
         // mid-record and mid-packet.
         if hurt.len() > 40 {
-            assert_pipelines_identical(&hurt[..hurt.len() - 7]);
-            assert_pipelines_identical(&hurt[..hurt.len() / 2]);
+            for cut in [&hurt[..hurt.len() - 7], &hurt[..hurt.len() / 2]] {
+                let (txs, report) = assert_pipelines_identical(cut);
+                assert_capture_matches(&pcap, cut, fault, (&txs, &report));
+            }
         }
     }
 }
@@ -393,3 +510,4 @@ fn every_fault_class_replays_through_the_detector() {
         assert!(ingest.transactions_recovered as usize >= report.transactions);
     }
 }
+
