@@ -200,22 +200,6 @@ impl Classifier {
         self.forest.score_batch(&rows, LABEL_INFECTION, threads)
     }
 
-    /// Infection probabilities for many raw conversations: WCG
-    /// construction and feature extraction run through the worker pool,
-    /// then all rows are batch-scored. Matches
-    /// [`Classifier::score_transactions`] conversation for conversation.
-    pub fn score_conversations_batch(
-        &self,
-        conversations: &[&[HttpTransaction]],
-        threads: usize,
-    ) -> Vec<f64> {
-        let fvs: Vec<FeatureVector> =
-            mlearn::parallel::run_indexed(conversations.len(), threads, |i| {
-                features::extract(&Wcg::from_transactions(conversations[i]))
-            });
-        self.score_features_batch(&fvs, threads)
-    }
-
     /// Mean-decrease-in-impurity importances of the trained forest,
     /// mapped back to feature names and sorted descending — the model
     /// introspection behind the paper's "manual verification of the trees
@@ -336,19 +320,13 @@ mod tests {
             test.iter().map(|(t, _)| t.as_slice()).collect();
         let expected: Vec<f64> =
             convs.iter().map(|txs| clf.score_transactions(txs)).collect();
-        for threads in [1, 2, 8] {
-            assert_eq!(
-                clf.score_conversations_batch(&convs, threads),
-                expected,
-                "{threads} threads"
-            );
-        }
-        // Feature-vector batch path agrees too.
         let fvs: Vec<crate::features::FeatureVector> = convs
             .iter()
             .map(|txs| crate::features::extract(&Wcg::from_transactions(txs)))
             .collect();
-        assert_eq!(clf.score_features_batch(&fvs, 2), expected);
+        for threads in [1, 2, 8] {
+            assert_eq!(clf.score_features_batch(&fvs, threads), expected, "{threads} threads");
+        }
     }
 
     #[test]

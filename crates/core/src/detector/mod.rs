@@ -27,6 +27,7 @@ use serde::{Deserialize, Serialize};
 use telemetry::Registry;
 
 use crate::classifier::Classifier;
+use crate::forensic::ConversationVerdict;
 use crate::metrics::DetectorMetrics;
 use crate::trusted::TrustedHosts;
 use crate::wcg::Wcg;
@@ -532,6 +533,46 @@ impl OnTheWireDetector {
         self.sync_tracker_metrics();
     }
 
+    /// Final verdict pass: thaws every spilled conversation, then scores
+    /// each one under the currently deployed model, in tracker order.
+    ///
+    /// Features come from the WCG each conversation's builder already
+    /// holds (equal to `Wcg::from_transactions` over its stored
+    /// transactions), with the topology columns taken from the
+    /// conversation's cache when its topology has not changed since it
+    /// was last classified. Extraction runs on up to `threads` workers,
+    /// one [`FeatureExtractor`](crate::features::FeatureExtractor) each
+    /// (none spawned at 1), and the rows are then batch-scored. Verdicts
+    /// are bit-identical at any thread count.
+    pub fn final_verdicts(&mut self, threads: usize) -> Vec<ConversationVerdict> {
+        self.rehydrate_all();
+        let model = self.classifier();
+        let started = Instant::now();
+        let mut convs: Vec<&mut Conversation> = self.tracker.conversations_mut().collect();
+        let fvs = mlearn::parallel::map_mut_with(
+            &mut convs,
+            threads,
+            crate::features::FeatureExtractor::new,
+            |extractor, conv| {
+                let (wcg, topo_version, cache) = conv.wcg_state();
+                extractor.extract_memoized(wcg, topo_version, cache)
+            },
+        );
+        let scores = model.score_features_batch(&fvs, threads);
+        self.metrics.scoring_ns.observe_since(started);
+        convs
+            .iter()
+            .zip(scores)
+            .map(|(c, score)| ConversationVerdict {
+                id: c.id,
+                transactions: c.transactions.len(),
+                score,
+                alerted: c.alerted,
+                hosts: c.hosts().count(),
+            })
+            .collect()
+    }
+
     /// Serializable image of this detector's mutable state (the model
     /// itself is restored separately through the CLI's validated model
     /// files, not embedded in snapshots).
@@ -723,16 +764,26 @@ mod tests {
                 ..DetectorConfig::default()
             };
             let mut det = OnTheWireDetector::new(clf.clone(), config);
-            let mut scores = Vec::new();
             for tx in &stream {
                 det.observe(tx);
             }
-            // Final per-conversation feature vectors must agree too.
-            for conv in det.tracker().conversations() {
-                let wcg = Wcg::from_transactions(&conv.transactions);
-                scores.push(crate::features::extract(&wcg));
-            }
-            (det.classification_count(), scores)
+            // Final per-conversation feature vectors must agree too: the
+            // incremental side reads each live builder WCG through its
+            // topology cache, the scratch side rebuilds the WCG.
+            let mut extractor = crate::features::FeatureExtractor::new();
+            let fvs: Vec<crate::features::FeatureVector> = det
+                .tracker
+                .conversations_mut()
+                .map(|conv| {
+                    if incremental {
+                        let (wcg, topo_version, cache) = conv.wcg_state();
+                        extractor.extract_memoized(wcg, topo_version, cache)
+                    } else {
+                        extractor.extract(&Wcg::from_transactions(&conv.transactions))
+                    }
+                })
+                .collect();
+            (det.classification_count(), fvs)
         };
         let (calls_inc, fvs_inc) = run(true);
         let (calls_scratch, fvs_scratch) = run(false);

@@ -1020,6 +1020,17 @@ impl SessionTracker {
         })
     }
 
+    /// Mutable form of [`SessionTracker::conversations`], in the same
+    /// order.
+    pub(crate) fn conversations_mut(&mut self) -> impl Iterator<Item = &mut Conversation> {
+        self.clients.values_mut().flat_map(|entry| {
+            entry.convs.iter_mut().filter_map(|slot| match slot {
+                Slot::Live(c) => Some(c),
+                Slot::Frozen(_) => None,
+            })
+        })
+    }
+
     /// Number of live conversations (O(1); maintained incrementally).
     pub fn conversation_count(&self) -> usize {
         debug_assert_eq!(

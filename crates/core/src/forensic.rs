@@ -144,6 +144,35 @@ pub fn analyze_transactions_telemetry(
     analyze_with(transactions, classifier, config, Some(registry))
 }
 
+/// Sorts a stream into `(ts, seq)` order (a total order over a numbered
+/// stream; ts alone leaves tied-timestamp order incidental) and scans
+/// it for exploit-type downloads. The scan is a pure function of the
+/// input stream, so a resumed replay re-scans the full stream and
+/// reproduces the uninterrupted run's download list exactly.
+///
+/// Shared by every replay path (single-threaded, sharded, durable) and
+/// by external harnesses (the drift lab feeds an engine epoch by
+/// epoch), so they all build the same feed order and download ledger.
+pub fn order_and_downloads(
+    transactions: &[HttpTransaction],
+) -> (Vec<&HttpTransaction>, Vec<DownloadRecord>) {
+    let mut order: Vec<&HttpTransaction> = transactions.iter().collect();
+    order.sort_by(|a, b| a.ts.total_cmp(&b.ts).then(a.seq.cmp(&b.seq)));
+    let mut downloads = Vec::new();
+    for tx in &order {
+        if tx.status / 100 == 2 && tx.payload_size > 0 && tx.payload_class.is_exploit_type() {
+            downloads.push(DownloadRecord {
+                host: tx.host.clone(),
+                class: tx.payload_class,
+                size: tx.payload_size,
+                digest: tx.payload_digest,
+                ts: tx.ts,
+            });
+        }
+    }
+    (order, downloads)
+}
+
 fn analyze_with(
     transactions: &[HttpTransaction],
     classifier: Classifier,
@@ -154,48 +183,12 @@ fn analyze_with(
         Some(registry) => OnTheWireDetector::with_telemetry(classifier, config, registry),
         None => OnTheWireDetector::new(classifier, config),
     };
-    let mut downloads = Vec::new();
-    let mut order: Vec<&HttpTransaction> = transactions.iter().collect();
-    // (ts, seq) is a total order over a numbered stream; ts alone leaves
-    // tied-timestamp order incidental.
-    order.sort_by(|a, b| a.ts.total_cmp(&b.ts).then(a.seq.cmp(&b.seq)));
+    let (order, downloads) = order_and_downloads(transactions);
     for tx in order {
-        if tx.status / 100 == 2 && tx.payload_size > 0 && tx.payload_class.is_exploit_type() {
-            downloads.push(DownloadRecord {
-                host: tx.host.clone(),
-                class: tx.payload_class,
-                size: tx.payload_size,
-                digest: tx.payload_digest,
-                ts: tx.ts,
-            });
-        }
         detector.observe(tx);
     }
-    // Final verdict pass: conversations are independent, so WCG
-    // featurization and forest traversal run batched across the scoring
-    // thread pool instead of one full pipeline per conversation. Spilled
-    // conversations are thawed first so the sweep sees every one.
-    detector.rehydrate_all();
     let threads = mlearn::parallel::resolve_threads(detector.config().scoring_threads);
-    let classifier = detector.classifier();
-    let convs: Vec<&crate::detector::Conversation> =
-        detector.tracker().conversations().collect();
-    let tx_slices: Vec<&[HttpTransaction]> =
-        convs.iter().map(|c| c.transactions.as_slice()).collect();
-    let batch_started = std::time::Instant::now();
-    let scores = classifier.score_conversations_batch(&tx_slices, threads);
-    detector.metrics().scoring_ns.observe_since(batch_started);
-    let conversations = convs
-        .iter()
-        .zip(scores)
-        .map(|(c, score)| ConversationVerdict {
-            id: c.id,
-            transactions: c.transactions.len(),
-            score,
-            alerted: c.alerted,
-            hosts: c.hosts().count(),
-        })
-        .collect();
+    let conversations = detector.final_verdicts(threads);
     ForensicReport {
         transactions: detector.transactions_seen(),
         conversations,

@@ -110,6 +110,57 @@ where
         .collect()
 }
 
+/// Runs `task` over every item of `items` across up to `threads` scoped
+/// worker threads and returns the results **in input order**. Each
+/// worker builds one state with `init` and hands it to every task it
+/// runs, so per-worker scratch space is reused across items.
+///
+/// Items are claimed in chunks of consecutive indices, as in
+/// [`run_indexed`]. With `threads <= 1` (or a single item) the tasks run
+/// inline on the caller's thread with one state — no thread is spawned.
+///
+/// # Panics
+///
+/// Propagates the first worker panic after all workers have stopped.
+pub fn map_mut_with<T, S, R, I, F>(items: &mut [T], threads: usize, init: I, task: F) -> Vec<R>
+where
+    T: Send,
+    R: Send,
+    I: Fn() -> S + Sync,
+    F: Fn(&mut S, &mut T) -> R + Sync,
+{
+    let threads = threads.max(1).min(items.len());
+    if threads <= 1 {
+        let mut state = init();
+        return items.iter_mut().map(|item| task(&mut state, item)).collect();
+    }
+    let chunk = (items.len() / (threads * 4)).max(1);
+    let chunks = std::sync::Mutex::new(items.chunks_mut(chunk).enumerate());
+    let (chunks, init, task) = (&chunks, &init, &task);
+    let mut done: Vec<(usize, Vec<R>)> = std::thread::scope(|scope| {
+        let handles: Vec<_> = (0..threads)
+            .map(|_| {
+                scope.spawn(move || {
+                    let mut state = init();
+                    let mut local = Vec::new();
+                    loop {
+                        let next = chunks.lock().expect("chunk queue poisoned").next();
+                        let Some((i, chunk)) = next else { break };
+                        local.push((i, chunk.iter_mut().map(|item| task(&mut state, item)).collect()));
+                    }
+                    local
+                })
+            })
+            .collect();
+        handles
+            .into_iter()
+            .flat_map(|h| h.join().expect("parallel worker panicked"))
+            .collect()
+    });
+    done.sort_unstable_by_key(|&(i, _)| i);
+    done.into_iter().flat_map(|(_, results)| results).collect()
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -120,6 +171,28 @@ mod tests {
             let out = run_indexed(100, threads, |i| i * i);
             assert_eq!(out, (0..100).map(|i| i * i).collect::<Vec<_>>(), "{threads} threads");
         }
+    }
+
+    #[test]
+    fn map_mut_with_keeps_order_and_reuses_worker_state() {
+        for threads in [1, 2, 3, 8, 64] {
+            let mut items: Vec<usize> = (0..100).collect();
+            let inits = AtomicUsize::new(0);
+            let out = map_mut_with(
+                &mut items,
+                threads,
+                || inits.fetch_add(1, Ordering::Relaxed),
+                |_, item| {
+                    *item += 1;
+                    *item * 2
+                },
+            );
+            assert_eq!(out, (1..=100).map(|i| i * 2).collect::<Vec<_>>(), "{threads} threads");
+            assert_eq!(items, (1..=100).collect::<Vec<_>>());
+            assert!(inits.load(Ordering::Relaxed) <= threads.max(1), "one state per worker");
+        }
+        let out: Vec<usize> = map_mut_with(&mut [] as &mut [usize], 4, || (), |_, i| *i);
+        assert!(out.is_empty());
     }
 
     #[test]

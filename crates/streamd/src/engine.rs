@@ -473,14 +473,6 @@ impl StreamEngine {
         &self.model
     }
 
-    /// Thaws every spilled conversation on every shard, so a final
-    /// verdict sweep over [`StreamEngine::detectors`] sees all state.
-    pub fn rehydrate_all(&mut self) {
-        for det in &mut self.detectors {
-            det.rehydrate_all();
-        }
-    }
-
     /// Alerts raised across all shards over the engine's lifetime
     /// (including alerts restored from a snapshot).
     pub fn total_alerts(&self) -> usize {
@@ -508,6 +500,12 @@ impl StreamEngine {
     /// trackers). Index `i` is shard `i`.
     pub fn detectors(&self) -> &[OnTheWireDetector] {
         &self.detectors
+    }
+
+    /// Mutable access to the per-shard detectors (the final verdict
+    /// pass thaws and scores each shard's conversations).
+    pub(crate) fn detectors_mut(&mut self) -> &mut [OnTheWireDetector] {
+        &mut self.detectors
     }
 
     /// The registry holding the engine's own metrics.

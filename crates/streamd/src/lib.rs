@@ -41,7 +41,8 @@ pub use snapshot::{
 };
 
 use dynaminer::classifier::Classifier;
-use dynaminer::detector::{Conversation, DetectorConfig};
+use dynaminer::detector::DetectorConfig;
+pub use dynaminer::forensic::order_and_downloads;
 use dynaminer::forensic::{ConversationVerdict, DownloadRecord, ForensicReport};
 use nettrace::HttpTransaction;
 use telemetry::Registry;
@@ -101,41 +102,14 @@ fn analyze_sharded_with(
     finish_report(&mut engine, downloads, threads, registry)
 }
 
-/// Sorts a stream into `(ts, seq)` order and scans it for exploit-type
-/// downloads (the scan is a pure function of the input stream, so a
-/// resumed replay re-scans the full stream and reproduces the
-/// uninterrupted run's download list exactly).
-///
-/// Public so external replay harnesses (the drift lab feeds an engine
-/// epoch by epoch) can build the same download ledger the one-shot
-/// replay paths use.
-pub fn order_and_downloads(
-    transactions: &[HttpTransaction],
-) -> (Vec<&HttpTransaction>, Vec<DownloadRecord>) {
-    let mut order: Vec<&HttpTransaction> = transactions.iter().collect();
-    order.sort_by(|a, b| a.ts.total_cmp(&b.ts).then(a.seq.cmp(&b.seq)));
-    let mut downloads = Vec::new();
-    for tx in &order {
-        if tx.status / 100 == 2 && tx.payload_size > 0 && tx.payload_class.is_exploit_type() {
-            downloads.push(DownloadRecord {
-                host: tx.host.clone(),
-                class: tx.payload_class,
-                size: tx.payload_size,
-                digest: tx.payload_digest,
-                ts: tx.ts,
-            });
-        }
-    }
-    (order, downloads)
-}
-
-/// Final verdict pass and report assembly, shard by shard. Batched
-/// conversation scoring is bit-identical at any thread count and
-/// conversations are independent, so scoring them per shard and
-/// reassembling by id reproduces the single tracker's scores in its
-/// iteration order (client-scoped ids sort client-major, like its
-/// BTreeMap). Spilled conversations are rehydrated first so the sweep
-/// sees every conversation, frozen or not.
+/// Final verdict pass and report assembly, shard by shard, through
+/// [`OnTheWireDetector::final_verdicts`](dynaminer::detector::OnTheWireDetector::final_verdicts).
+/// Verdicts are bit-identical at any thread count and conversations
+/// are independent, so scoring them per shard and reassembling by id
+/// reproduces the single tracker's scores in its iteration order
+/// (client-scoped ids sort client-major, like its BTreeMap). Each
+/// shard thaws its spilled conversations first, so the sweep sees every
+/// conversation, frozen or not.
 ///
 /// Public so harnesses that drive a long-lived engine across several
 /// `process` calls (epoch-by-epoch drift replay) can close it out with
@@ -146,22 +120,9 @@ pub fn finish_report(
     threads: usize,
     registry: Option<&Registry>,
 ) -> ForensicReport {
-    engine.rehydrate_all();
     let mut conversations: Vec<ConversationVerdict> = Vec::new();
-    for detector in engine.detectors() {
-        let convs: Vec<&Conversation> = detector.tracker().conversations().collect();
-        let slices: Vec<&[HttpTransaction]> =
-            convs.iter().map(|c| c.transactions.as_slice()).collect();
-        let started = std::time::Instant::now();
-        let scores = detector.classifier().score_conversations_batch(&slices, threads);
-        detector.metrics().scoring_ns.observe_since(started);
-        conversations.extend(convs.iter().zip(scores).map(|(c, score)| ConversationVerdict {
-            id: c.id,
-            transactions: c.transactions.len(),
-            score,
-            alerted: c.alerted,
-            hosts: c.hosts().count(),
-        }));
+    for detector in engine.detectors_mut() {
+        conversations.extend(detector.final_verdicts(threads));
     }
     conversations.sort_by_key(|v| v.id);
 

@@ -9,18 +9,25 @@ use crate::DiGraph;
 /// paths (equivalently, by Menger's theorem, the minimum vertex cut).
 ///
 /// Computed as unit-capacity max-flow on the vertex-split digraph: every
-/// node `v` becomes `v_in → v_out` with capacity 1 (except `s` and `t`),
-/// every undirected edge `{u,v}` becomes `u_out → v_in` and `v_out → u_in`.
+/// node `v` becomes `v_in → v_out` with capacity 1, every undirected
+/// edge `{u,v}` becomes `u_out → v_in` and `v_out → u_in`, and the flow
+/// runs from `s_out` to `t_in`. (`s_in → s_out` and `t_in → t_out` can
+/// never cross an `s_out`/`t_in` cut forwards, so their capacity does
+/// not matter.)
 ///
 /// Adjacent `s`, `t` still yield finite values (the direct edge counts as
 /// one disjoint path).
+///
+/// # Panics
+///
+/// Panics when `s == t`, or when `adj` is not symmetric.
 pub fn local_node_connectivity<A: Adjacency + ?Sized>(adj: &A, s: usize, t: usize) -> usize {
     local_node_connectivity_scratch(adj, s, t, &mut AlgoScratch::new())
 }
 
-/// [`local_node_connectivity`] reusing `scratch`'s residual-graph rows,
-/// parent table, and BFS queue — no per-pair allocation once the rows
-/// have grown to their working size.
+/// [`local_node_connectivity`] reusing `scratch`'s component labels,
+/// residual graph, parent table, and BFS queue — no allocation once
+/// they have grown to their working size.
 pub fn local_node_connectivity_scratch<A: Adjacency + ?Sized>(
     adj: &A,
     s: usize,
@@ -28,76 +35,155 @@ pub fn local_node_connectivity_scratch<A: Adjacency + ?Sized>(
     scratch: &mut AlgoScratch,
 ) -> usize {
     assert_ne!(s, t, "local connectivity requires distinct endpoints");
-    let n = adj.order();
-    // Node v_in = 2v, v_out = 2v+1. Residual capacities in a hash-free
-    // edge-list representation: (to, cap, reverse-index). Rows are
-    // pooled in the scratch and rebuilt (capacity retained) per pair.
-    if scratch.flow.len() < 2 * n {
-        scratch.flow.resize_with(2 * n, Vec::new);
-    }
-    let graph = &mut scratch.flow[..2 * n];
-    for row in graph.iter_mut() {
-        row.clear();
-    }
-    let add = |g: &mut [Vec<(usize, i32, usize)>], u: usize, v: usize, cap: i32| {
-        let ru = g[u].len();
-        let rv = g[v].len();
-        g[u].push((v, cap, rv));
-        g[v].push((u, 0, ru));
-    };
-    for v in 0..n {
-        let cap = if v == s || v == t { i32::MAX / 2 } else { 1 };
-        add(graph, 2 * v, 2 * v + 1, cap);
-    }
-    for u in 0..n {
-        for &v in adj.neighbors(u) {
-            if u < v {
-                add(graph, 2 * u + 1, 2 * v, 1);
-                add(graph, 2 * v + 1, 2 * u, 1);
+    let mut kernel = Kernel::new(adj, scratch);
+    kernel.pair(s, t)
+}
+
+/// Per-graph node-connectivity state over a scratch: component labels
+/// up front, the residual graph on first demand, then any number of
+/// pairs.
+///
+/// Every pair is exact. The adjacency is simple (deduplicated, no
+/// self-loops), so a flow leaving `s_out` uses distinct arcs, one per
+/// neighbour, and κ(s,t) ≤ min(deg s, deg t). Hence κ = 0 when that
+/// bound is 0 or `s` and `t` lie in different components, κ = 1 when the
+/// bound is 1 and a path exists, and otherwise Edmonds–Karp stops as
+/// soon as the flow reaches the bound instead of running the final
+/// failing search.
+struct Kernel<'a, A: ?Sized> {
+    adj: &'a A,
+    scratch: &'a mut AlgoScratch,
+    residual_built: bool,
+}
+
+/// `parent` marker: residual node not reached by the current search.
+const UNSEEN: usize = usize::MAX;
+/// `parent` marker for the search root.
+const ROOT: usize = usize::MAX - 1;
+
+impl<'a, A: Adjacency + ?Sized> Kernel<'a, A> {
+    fn new(adj: &'a A, scratch: &'a mut AlgoScratch) -> Self {
+        let n = adj.order();
+        let AlgoScratch { component, queue, .. } = &mut *scratch;
+        component.clear();
+        component.resize(n, UNSEEN);
+        for root in 0..n {
+            if component[root] != UNSEEN {
+                continue;
             }
-        }
-    }
-    // Edmonds–Karp from s_out to t_in.
-    let source = 2 * s + 1;
-    let sink = 2 * t;
-    let parent = &mut scratch.parent;
-    let queue = &mut scratch.queue;
-    let mut flow = 0usize;
-    loop {
-        parent.clear();
-        parent.resize(2 * n, None);
-        queue.clear();
-        queue.push_back(source);
-        parent[source] = Some((source, usize::MAX));
-        while let Some(u) = queue.pop_front() {
-            if u == sink {
-                break;
-            }
-            for (i, &(v, cap, _)) in graph[u].iter().enumerate() {
-                if cap > 0 && parent[v].is_none() {
-                    parent[v] = Some((u, i));
-                    queue.push_back(v);
+            component[root] = root;
+            queue.clear();
+            queue.push_back(root);
+            while let Some(u) = queue.pop_front() {
+                for &v in adj.neighbors(u) {
+                    if component[v] == UNSEEN {
+                        component[v] = root;
+                        queue.push_back(v);
+                    }
                 }
             }
         }
-        if parent[sink].is_none() {
-            break;
+        Kernel { adj, scratch, residual_built: false }
+    }
+
+    fn pair(&mut self, s: usize, t: usize) -> usize {
+        let bound = self.adj.neighbors(s).len().min(self.adj.neighbors(t).len());
+        if bound == 0 || self.scratch.component[s] != self.scratch.component[t] {
+            return 0;
         }
-        // Augment by 1 (unit capacities on all internal edges).
-        let mut v = sink;
-        while v != source {
-            let (u, i) = parent[v].expect("path reconstructed");
-            graph[u][i].1 -= 1;
-            let rev = graph[u][i].2;
-            graph[v][rev].1 += 1;
-            v = u;
+        if bound == 1 {
+            return 1;
         }
-        flow += 1;
-        if flow > n {
-            break; // safety: cannot exceed node count
+        if !self.residual_built {
+            self.build_residual();
+            self.residual_built = true;
+        }
+        let scratch = &mut *self.scratch;
+        scratch.flow_cap.copy_from_slice(&scratch.flow_base);
+        let (source, sink) = (2 * s + 1, 2 * t);
+        let mut flow = 0;
+        while flow < bound && augment(scratch, source, sink) {
+            flow += 1;
+        }
+        flow
+    }
+
+    /// Lays out the vertex-split residual graph: node `v_in = 2v` and
+    /// `v_out = 2v + 1` each get a row of `1 + deg v` arcs. Slot 0 is
+    /// the split arc (forward in `v_in`'s row, reverse in `v_out`'s);
+    /// slot `1 + k` pairs `v_out → u_in` for `u`, the `k`-th neighbour
+    /// of `v`, with its reverse arc in `u_in`'s row at `v`'s position
+    /// among `u`'s (sorted) neighbours.
+    fn build_residual(&mut self) {
+        let adj = self.adj;
+        let n = adj.order();
+        let AlgoScratch { flow_start, flow_arcs, flow_cap, flow_base, .. } = &mut *self.scratch;
+        flow_start.clear();
+        flow_start.push(0);
+        for row in 0..2 * n {
+            let next = flow_start[row] + 1 + adj.neighbors(row / 2).len();
+            flow_start.push(next);
+        }
+        let arcs = flow_start[2 * n];
+        flow_arcs.clear();
+        flow_arcs.resize(arcs, (0, 0));
+        flow_base.clear();
+        flow_base.resize(arcs, 0);
+        flow_cap.clear();
+        flow_cap.resize(arcs, 0);
+        for v in 0..n {
+            let (v_in, v_out) = (flow_start[2 * v], flow_start[2 * v + 1]);
+            flow_arcs[v_in] = (2 * v + 1, v_out);
+            flow_base[v_in] = 1;
+            flow_arcs[v_out] = (2 * v, v_in);
+            for (k, &u) in adj.neighbors(v).iter().enumerate() {
+                let j = adj
+                    .neighbors(u)
+                    .binary_search(&v)
+                    .expect("undirected adjacency is symmetric");
+                let (fwd, back) = (v_out + 1 + k, flow_start[2 * u] + 1 + j);
+                flow_arcs[fwd] = (2 * u, back);
+                flow_base[fwd] = 1;
+                flow_arcs[back] = (2 * v + 1, fwd);
+            }
         }
     }
-    flow
+}
+
+/// One Edmonds–Karp round: a BFS over positive-capacity residual arcs
+/// from `source`, stopping as soon as `sink` is labelled, then a unit
+/// augmentation along the found path. `false` when no path is left.
+fn augment(scratch: &mut AlgoScratch, source: usize, sink: usize) -> bool {
+    let AlgoScratch { flow_start, flow_arcs, flow_cap, parent, queue, .. } = scratch;
+    parent.clear();
+    parent.resize(flow_start.len() - 1, UNSEEN);
+    parent[source] = ROOT;
+    queue.clear();
+    queue.push_back(source);
+    'search: while let Some(u) = queue.pop_front() {
+        for arc in flow_start[u]..flow_start[u + 1] {
+            let v = flow_arcs[arc].0;
+            if flow_cap[arc] > 0 && parent[v] == UNSEEN {
+                parent[v] = arc;
+                if v == sink {
+                    break 'search;
+                }
+                queue.push_back(v);
+            }
+        }
+    }
+    if parent[sink] == UNSEEN {
+        return false;
+    }
+    let mut v = sink;
+    while v != source {
+        let arc = parent[v];
+        let rev = flow_arcs[arc].1;
+        flow_cap[arc] -= 1;
+        flow_cap[rev] += 1;
+        v = flow_arcs[rev].0;
+    }
+    true
 }
 
 /// Average node connectivity: the mean of local node connectivity over
@@ -144,32 +230,34 @@ fn average_node_connectivity_scratch_in<A: Adjacency + ?Sized>(
     if n < 2 {
         return 0.0;
     }
-    scratch.pairs.clear();
+    let mut pairs = std::mem::take(&mut scratch.pairs);
+    pairs.clear();
     for s in 0..n {
         for t in (s + 1)..n {
-            scratch.pairs.push((s, t));
+            pairs.push((s, t));
         }
     }
     if n > sample_limit {
         let target = sample_limit * (sample_limit - 1) / 2;
-        let stride = (scratch.pairs.len() / target).max(1);
+        let stride = (pairs.len() / target).max(1);
         // In-place stride sample: keep indices 0, stride, 2·stride, …
         // exactly as `step_by(stride)` would.
         let mut w = 0usize;
         let mut r = 0usize;
-        while r < scratch.pairs.len() {
-            scratch.pairs[w] = scratch.pairs[r];
+        while r < pairs.len() {
+            pairs[w] = pairs[r];
             w += 1;
             r += stride;
         }
-        scratch.pairs.truncate(w);
+        pairs.truncate(w);
     }
-    let mut total = 0usize;
-    for i in 0..scratch.pairs.len() {
-        let (s, t) = scratch.pairs[i];
-        total += local_node_connectivity_scratch(adj, s, t, scratch);
-    }
-    total as f64 / scratch.pairs.len() as f64
+    // Integer per-pair values summed, then one division: the mean does
+    // not depend on how each pair's value was found.
+    let mut kernel = Kernel::new(adj, scratch);
+    let total: usize = pairs.iter().map(|&(s, t)| kernel.pair(s, t)).sum();
+    let mean = total as f64 / pairs.len() as f64;
+    scratch.pairs = pairs;
+    mean
 }
 
 /// Average degree over non-isolated nodes (feature f23, "average degree

@@ -42,11 +42,19 @@ pub struct AlgoScratch {
     /// PageRank double buffers, swapped each power iteration.
     pub(crate) rank: Vec<f64>,
     pub(crate) rank_next: Vec<f64>,
-    /// Vertex-split residual-graph rows for unit-capacity max-flow.
-    /// Rows keep their capacity across pairs and calls.
-    pub(crate) flow: Vec<Vec<(usize, i32, usize)>>,
-    /// Max-flow BFS parents: `(predecessor, edge index)`.
-    pub(crate) parent: Vec<Option<(usize, usize)>>,
+    /// Undirected component label per node (node connectivity).
+    pub(crate) component: Vec<usize>,
+    /// Vertex-split residual graph for unit-capacity max-flow, built
+    /// once per graph: row offsets into the arc arrays.
+    pub(crate) flow_start: Vec<usize>,
+    /// Residual arcs `(head, reverse arc index)`.
+    pub(crate) flow_arcs: Vec<(usize, usize)>,
+    /// Residual capacities, reset from `flow_base` per pair.
+    pub(crate) flow_cap: Vec<u8>,
+    /// Capacities of the empty flow.
+    pub(crate) flow_base: Vec<u8>,
+    /// Max-flow BFS parents: the arc each residual node was reached by.
+    pub(crate) parent: Vec<usize>,
     /// Sampled node pairs for average connectivity.
     pub(crate) pairs: Vec<(usize, usize)>,
 }

@@ -5,8 +5,9 @@
 //! `StreamEngine` fed a `(ts, seq)`-sorted stream emits the exact same
 //! alert sequence as one `OnTheWireDetector` fed the same stream — at
 //! any shard count and any worker-thread timing. These tests pin that
-//! contract, the graceful-drain zero-loss invariant, and the sharded
-//! forensic report's field-for-field equality.
+//! contract, the graceful-drain zero-loss invariant, the sharded
+//! forensic report's field-for-field equality, and the final verdict
+//! pass against a scratch recomputation.
 
 use std::sync::OnceLock;
 
@@ -14,12 +15,17 @@ use proptest::collection::vec;
 use proptest::prelude::*;
 
 use dynaminer::classifier::{build_dataset, Classifier};
-use dynaminer::detector::{Alert, DetectorConfig, OnTheWireDetector};
+use dynaminer::detector::{Alert, DetectorConfig, OnTheWireDetector, SpillConfig};
+use dynaminer::features;
+use dynaminer::forensic::{ConversationVerdict, ForensicReport};
+use dynaminer::wcg::Wcg;
 use nettrace::HttpTransaction;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use streamd::{
-    analyze_transactions_sharded, BackpressurePolicy, StreamConfig, StreamEngine,
+    analyze_transactions_durable, analyze_transactions_sharded, finish_report,
+    order_and_downloads, BackpressurePolicy, DurableReplayOptions, EngineSnapshot, StreamConfig,
+    StreamEngine,
 };
 use synthtraffic::benign::generate_benign;
 use synthtraffic::episode::generate_infection;
@@ -281,4 +287,224 @@ fn shard_assignment_is_stable() {
             assert_eq!(s, streamd::shard_of(addr, shards), "pure function");
         }
     }
+}
+
+/// A second model, trained on other episodes, for the hot-reload case.
+fn other_classifier() -> &'static Classifier {
+    static CLF: OnceLock<Classifier> = OnceLock::new();
+    CLF.get_or_init(|| {
+        let mut rng = StdRng::seed_from_u64(19);
+        let mut items: Vec<(Vec<HttpTransaction>, bool)> = Vec::new();
+        for i in 0..12 {
+            items.push((
+                generate_infection(&mut rng, EkFamily::ALL[(i * 3) % 10], 1.41e9).transactions,
+                true,
+            ));
+            items.push((
+                generate_benign(&mut rng, BenignScenario::WEIGHTED[i % 8].0, 1.44e9).transactions,
+                false,
+            ));
+        }
+        let data = build_dataset(items.iter().map(|(t, l)| (t.as_slice(), *l)));
+        Classifier::fit_default(&data, 23)
+    })
+}
+
+/// The final verdict pass recomputed from scratch. A single-threaded
+/// detector groups the stream into conversations (swapping in `reload`'s
+/// model once `at` transactions have been fed); then every conversation
+/// is scored by `Wcg::from_transactions` + `features::extract` + one
+/// `score_features` call under the model deployed at the end.
+fn scratch_report(
+    stream: &[HttpTransaction],
+    config: &DetectorConfig,
+    reload: Option<(&Classifier, usize)>,
+) -> ForensicReport {
+    let mut det = OnTheWireDetector::new(classifier().clone(), config.clone());
+    let (order, downloads) = order_and_downloads(stream);
+    for (i, tx) in order.into_iter().enumerate() {
+        if let Some((model, at)) = reload {
+            if i == at {
+                det.model_slot().swap(model.clone());
+            }
+        }
+        det.observe(tx);
+    }
+    assert_eq!(det.tracker().spill_evicted_count(), 0, "reference lost a conversation");
+    det.rehydrate_all();
+    let model = det.classifier();
+    let conversations = det
+        .tracker()
+        .conversations()
+        .map(|c| ConversationVerdict {
+            id: c.id,
+            transactions: c.transactions.len(),
+            score: model.score_features(&features::extract(&Wcg::from_transactions(&c.transactions))),
+            alerted: c.alerted,
+            hosts: c.hosts().count(),
+        })
+        .collect();
+    ForensicReport {
+        transactions: det.transactions_seen(),
+        conversations,
+        downloads,
+        alerts: det.alerts().len(),
+        ingest: None,
+        stats: None,
+    }
+}
+
+fn assert_report_eq(got: &ForensicReport, want: &ForensicReport, case: &str) {
+    assert_eq!(got.transactions, want.transactions, "{case}: transactions");
+    assert_eq!(got.alerts, want.alerts, "{case}: alerts");
+    assert_eq!(
+        serde_json::to_string(&got.downloads).unwrap(),
+        serde_json::to_string(&want.downloads).unwrap(),
+        "{case}: downloads"
+    );
+    assert_eq!(got.conversations.len(), want.conversations.len(), "{case}: conversations");
+    for (a, b) in got.conversations.iter().zip(&want.conversations) {
+        assert_eq!(a.id, b.id, "{case}");
+        assert_eq!(a.transactions, b.transactions, "{case}: conversation {}", a.id);
+        assert_eq!(a.score.to_bits(), b.score.to_bits(), "{case}: conversation {}", a.id);
+        assert_eq!(a.alerted, b.alerted, "{case}: conversation {}", a.id);
+        assert_eq!(a.hosts, b.hosts, "{case}: conversation {}", a.id);
+    }
+    assert!(got.ingest.is_none() && got.stats.is_none(), "{case}: no ingest or stats");
+}
+
+fn verdict_stream() -> Vec<HttpTransaction> {
+    build_stream(
+        13,
+        &[(true, 1), (false, 2), (true, 4), (false, 6), (true, 8), (false, 0), (true, 3)],
+    )
+}
+
+/// The final verdict pass reads each conversation's live builder WCG
+/// and its topology cache; a scratch rebuild must give the same report,
+/// field for field, on every replay path.
+#[test]
+fn final_verdicts_match_scratch_recomputation() {
+    let stream = verdict_stream();
+    let base = DetectorConfig::default();
+    let want = scratch_report(&stream, &base, None);
+    assert!(want.conversations.len() > 4 && want.alerts > 0, "a non-trivial stream");
+
+    for threads in [1usize, 2, 8] {
+        let config = DetectorConfig { scoring_threads: threads, ..base.clone() };
+        let single =
+            dynaminer::forensic::analyze_transactions(&stream, classifier().clone(), config.clone());
+        assert_report_eq(&single, &want, &format!("single detector, {threads} threads"));
+        for shards in [1usize, 2, 8] {
+            let sharded = analyze_transactions_sharded(
+                &stream,
+                classifier().clone(),
+                config.clone(),
+                StreamConfig { shards, ..StreamConfig::default() },
+            );
+            assert_report_eq(&sharded, &want, &format!("{shards} shards, {threads} threads"));
+        }
+    }
+
+    let scratch_config = DetectorConfig { incremental: false, ..base.clone() };
+    let got = analyze_transactions_sharded(
+        &stream,
+        classifier().clone(),
+        scratch_config.clone(),
+        StreamConfig { shards: 2, ..StreamConfig::default() },
+    );
+    assert_report_eq(&got, &scratch_report(&stream, &scratch_config, None), "incremental: false");
+}
+
+/// Spilled conversations are thawed by the final pass and scored like
+/// the rest.
+#[test]
+fn final_verdicts_match_scratch_under_a_binding_spill_budget() {
+    let stream = verdict_stream();
+    let config = DetectorConfig {
+        spill: Some(SpillConfig {
+            max_live_bytes: 8 * 1024,
+            max_spill_bytes: usize::MAX / 2,
+            min_idle_secs: 5.0,
+        }),
+        scoring_threads: 2,
+        ..DetectorConfig::default()
+    };
+    let mut engine = StreamEngine::new(
+        classifier().clone(),
+        config.clone(),
+        StreamConfig { shards: 2, ..StreamConfig::default() },
+    );
+    let (order, downloads) = order_and_downloads(&stream);
+    engine.process(order.into_iter().cloned());
+    let trackers = || engine.detectors().iter().map(|d| d.tracker());
+    assert!(trackers().map(|t| t.frozen_count()).sum::<usize>() > 0, "the budget binds");
+    assert_eq!(trackers().map(|t| t.spill_evicted_count()).sum::<usize>(), 0);
+    let got = finish_report(&mut engine, downloads, 2, None);
+    assert_report_eq(&got, &scratch_report(&stream, &config, None), "spill budget");
+}
+
+/// A replay restored from a 1-shard snapshot into 4 shards, and a replay
+/// that hot-reloads its model mid-stream, both end in the scratch
+/// recomputation's report.
+#[test]
+fn final_verdicts_match_scratch_after_restore_and_reload() {
+    let stream = verdict_stream();
+    let config = DetectorConfig { scoring_threads: 2, ..DetectorConfig::default() };
+    let every = (stream.len() / 6) as u64;
+
+    let mut snapshots: Vec<EngineSnapshot> = Vec::new();
+    let mut sink = |snap: &EngineSnapshot| {
+        snapshots.push(snap.clone());
+        Ok(())
+    };
+    analyze_transactions_durable(
+        &stream,
+        classifier().clone(),
+        config.clone(),
+        StreamConfig { shards: 1, ..StreamConfig::default() },
+        None,
+        DurableReplayOptions {
+            checkpoint_every: every,
+            snapshot_sink: Some(&mut sink),
+            ..DurableReplayOptions::default()
+        },
+    )
+    .unwrap();
+    let mid = snapshots[snapshots.len() / 2].clone();
+    let resumed = analyze_transactions_durable(
+        &stream,
+        classifier().clone(),
+        config.clone(),
+        StreamConfig { shards: 4, ..StreamConfig::default() },
+        None,
+        DurableReplayOptions { resume: Some(mid), ..DurableReplayOptions::default() },
+    )
+    .unwrap();
+    assert_report_eq(&resumed, &scratch_report(&stream, &config, None), "1→4 restore");
+
+    let at = 3 * every;
+    let reloaded = analyze_transactions_durable(
+        &stream,
+        classifier().clone(),
+        config.clone(),
+        StreamConfig { shards: 2, ..StreamConfig::default() },
+        None,
+        DurableReplayOptions {
+            checkpoint_every: every,
+            reload: Some((other_classifier().clone(), at)),
+            ..DurableReplayOptions::default()
+        },
+    )
+    .unwrap();
+    let want = scratch_report(&stream, &config, Some((other_classifier(), at as usize)));
+    assert_report_eq(&reloaded, &want, "mid-stream hot-reload");
+    let unreloaded = scratch_report(&stream, &config, None);
+    assert!(
+        want.conversations
+            .iter()
+            .zip(&unreloaded.conversations)
+            .any(|(a, b)| a.score.to_bits() != b.score.to_bits()),
+        "the reloaded model scores differently"
+    );
 }
